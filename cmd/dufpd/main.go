@@ -101,14 +101,17 @@ func daemonMain() int {
 		logger.Print(err)
 		return 1
 	}
+	// Take over SIGINT/SIGTERM before the first request can be served: a
+	// signal that arrives as soon as /v1/healthz answers must drain the
+	// daemon, not kill it with the default action.
+	sigs := make(chan os.Signal, 2)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	srv := &http.Server{Handler: daemon.FullHandler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	logger.Printf("serving Run API on %s (data: %s, cache: %s, queue: %d, simulations: %d, dispatchers: %d)",
 		ln.Addr(), *dataDir, *cacheDir, *queue, executor.Workers(), daemon.Workers())
 
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-serveErr:
 		logger.Print(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"sync"
 
 	"dufp/internal/control"
@@ -158,10 +157,13 @@ func executeKey(ctx context.Context, key exec.Key) (metrics.Run, error) {
 	return run, nil
 }
 
-// hash64 returns the FNV-1a fingerprint of s as fixed-width hex.
-func hash64(s string) string {
+// hash64 returns the FNV-1a fingerprint of v's %+v rendering as
+// fixed-width hex. It formats straight into the hash, which hashes the
+// same bytes as formatting to a string first without building the
+// string. (A hash's Write never fails.)
+func hash64(v any) string {
 	h := fnv.New64a()
-	io.WriteString(h, s)
+	fmt.Fprintf(h, "%+v", v)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -169,7 +171,7 @@ func hash64(s string) string {
 // readability plus a structure hash, so synthetic apps that reuse a name
 // with different phase programs do not collide.
 func appFingerprint(a App) string {
-	return a.Name + "#" + hash64(fmt.Sprintf("%+v", a))
+	return a.Name + "#" + hash64(a)
 }
 
 // fingerprint content-addresses the session configuration. The executor
@@ -177,15 +179,22 @@ func appFingerprint(a App) string {
 // computation wherever their runs are scheduled.
 func (s Session) fingerprint() string {
 	s.exec = nil
-	return hash64(fmt.Sprintf("%+v", s))
+	return hash64(s)
 }
 
 // execKey builds the content-addressed executor key of one run.
 func (s Session) execKey(app App, gov Governor, idx int, traced, keep bool) exec.Key {
+	return s.keyOf(s.fingerprint(), appFingerprint(app), app, gov, idx, traced, keep)
+}
+
+// keyOf is execKey with the session and application fingerprints
+// already computed, so a batch over one session hashes its
+// configuration once rather than once per run.
+func (s Session) keyOf(sessionFP, appFP string, app App, gov Governor, idx int, traced, keep bool) exec.Key {
 	return exec.Key{
-		App:      appFingerprint(app),
+		App:      appFP,
 		Governor: gov.ID(),
-		Session:  s.fingerprint(),
+		Session:  sessionFP,
 		Idx:      idx,
 		Payload: &runPayload{
 			session: s,

@@ -48,7 +48,7 @@ func Baseline() Governor { return Governor{} }
 // cfgID fingerprints a flat configuration struct. %+v is deterministic
 // for the scalar-only configs used here.
 func cfgID(kind string, cfg any) string {
-	return kind + "/" + hash64(fmt.Sprintf("%+v", cfg))
+	return kind + "/" + hash64(cfg)
 }
 
 // DUF attaches the uncore-only DUF controller.

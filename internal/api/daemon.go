@@ -389,16 +389,9 @@ func (d *Daemon) dispatch() {
 // setRunning transitions a queued job and notifies its subscribers.
 func (d *Daemon) setRunning(j *job) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	j.state = StateRunning
-	status := d.runStatusLocked(j)
-	subs := subsSnapshot(j.subs)
-	d.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- status:
-		default:
-		}
-	}
+	notify(j.subs, d.runStatusLocked(j), false)
 }
 
 // complete finalises a job, feeds its campaigns and notifies
@@ -411,16 +404,9 @@ func (d *Daemon) complete(j *job, run dufp.Run, err error) {
 	} else {
 		j.state, j.run = StateDone, run
 	}
-	status := d.runStatusLocked(j)
-	subs := subsSnapshot(j.subs)
+	notify(j.subs, d.runStatusLocked(j), true)
 	j.subs = nil
 
-	type campNotify struct {
-		status CampaignStatus
-		subs   []chan CampaignStatus
-		ended  bool
-	}
-	var notifies []campNotify
 	for _, c := range j.camps {
 		if err != nil {
 			c.failed++
@@ -430,47 +416,35 @@ func (d *Daemon) complete(j *job, run dufp.Run, err error) {
 		} else {
 			c.done++
 		}
-		n := campNotify{subs: subsSnapshot(c.subs), ended: terminal(c.state())}
-		if n.ended {
+		ended := terminal(c.state())
+		if ended {
 			d.summarizeLocked(c)
+		}
+		notify(c.subs, d.campaignStatusLocked(c, false), ended)
+		if ended {
 			c.subs = nil
 		}
-		n.status = d.campaignStatusLocked(c, false)
-		notifies = append(notifies, n)
 	}
 	d.mu.Unlock()
-
 	d.mJobs.With(j.state).Inc()
-	for _, ch := range subs {
+}
+
+// notify offers status to every subscriber without blocking — a
+// subscriber whose buffer is full misses the snapshot — and closes the
+// channels when closing is set. Callers hold the daemon mutex: every
+// send and close of a subscriber channel happens under it, so a
+// concurrent completion or an SSE client's cancel can never close a
+// channel between a send's lookup and the send itself.
+func notify[T any](subs map[chan T]struct{}, status T, closing bool) {
+	for ch := range subs {
 		select {
 		case ch <- status:
 		default:
 		}
-		close(ch)
-	}
-	for _, n := range notifies {
-		for _, ch := range n.subs {
-			select {
-			case ch <- n.status:
-			default:
-			}
-			if n.ended {
-				close(ch)
-			}
+		if closing {
+			close(ch)
 		}
 	}
-}
-
-// subsSnapshot copies a subscriber set for notification outside the lock.
-func subsSnapshot[T any](set map[chan T]struct{}) []chan T {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]chan T, 0, len(set))
-	for ch := range set {
-		out = append(out, ch)
-	}
-	return out
 }
 
 // SubmitRun accepts one run for execution and returns its status.

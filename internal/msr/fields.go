@@ -104,8 +104,25 @@ func encodeConstraint(u Units, c PowerLimit) uint64 {
 	return v
 }
 
+// windowSteps holds the 128 representable window multipliers
+// 2^Y × (1 + Z/4), indexed y-major/z-minor (index Y·4 + Z). Every entry
+// is an exact float64, so the table carries the same values a per-call
+// math.Exp2 would produce, and it is strictly increasing.
+var windowSteps = func() (t [128]float64) {
+	for y := 0; y < 32; y++ {
+		for z := 0; z < 4; z++ {
+			t[y*4+z] = math.Exp2(float64(y)) * (1 + float64(z)/4)
+		}
+	}
+	return t
+}()
+
 // encodeWindow maps a window in seconds to the 7-bit Y/Z encoding:
-// window = 2^Y × (1 + Z/4) × TimeUnit, Y in bits 4:0, Z in bits 6:5.
+// window = 2^Y × (1 + Z/4) × TimeUnit, Y in bits 4:0, Z in bits 6:5. It
+// picks the step nearest to the requested window, ties going to the
+// first (smaller) step. The scan stops at the first step at or above the
+// target: past it the rounded errors never decrease, so no later step
+// can win the strict comparison.
 func encodeWindow(u Units, w float64) uint8 {
 	if w <= 0 || u.TimeUnit <= 0 {
 		return 0
@@ -114,23 +131,23 @@ func encodeWindow(u Units, w float64) uint8 {
 	if target < 1 {
 		target = 1
 	}
-	bestY, bestZ := 0, 0
+	best := 0
 	bestErr := math.Inf(1)
-	for y := 0; y < 32; y++ {
-		for z := 0; z < 4; z++ {
-			got := math.Exp2(float64(y)) * (1 + float64(z)/4)
-			if err := math.Abs(got - target); err < bestErr {
-				bestErr, bestY, bestZ = err, y, z
-			}
+	for i, got := range windowSteps {
+		if err := math.Abs(got - target); err < bestErr {
+			bestErr, best = err, i
+		}
+		if got >= target {
+			break
 		}
 	}
-	return uint8(bestY | bestZ<<5)
+	return uint8(best/4 | best%4<<5)
 }
 
 func decodeWindow(u Units, bits uint8) float64 {
 	y := bits & 0x1F
 	z := (bits >> 5) & 0x3
-	return math.Exp2(float64(y)) * (1 + float64(z)/4) * u.TimeUnit
+	return windowSteps[int(y)*4+int(z)] * u.TimeUnit
 }
 
 // DecodePkgPowerLimit interprets a raw MSR_PKG_POWER_LIMIT value using the

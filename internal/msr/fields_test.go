@@ -2,6 +2,7 @@ package msr
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -205,5 +206,109 @@ func TestPkgPowerLimitString(t *testing.T) {
 	s := l.String()
 	if s == "" {
 		t.Fatal("empty String()")
+	}
+}
+
+// encodeWindowReference is the brute-force window encoder the table
+// replaced: 128 math.Exp2 products per call, strict < so ties keep the
+// first step. It is the oracle of TestEncodeWindowMatchesReference.
+func encodeWindowReference(u Units, w float64) uint8 {
+	if w <= 0 || u.TimeUnit <= 0 {
+		return 0
+	}
+	target := w / u.TimeUnit
+	if target < 1 {
+		target = 1
+	}
+	bestY, bestZ := 0, 0
+	bestErr := math.Inf(1)
+	for y := 0; y < 32; y++ {
+		for z := 0; z < 4; z++ {
+			got := math.Exp2(float64(y)) * (1 + float64(z)/4)
+			if err := math.Abs(got - target); err < bestErr {
+				bestErr, bestY, bestZ = err, y, z
+			}
+		}
+	}
+	return uint8(bestY | bestZ<<5)
+}
+
+func decodeWindowReference(u Units, bits uint8) float64 {
+	y := bits & 0x1F
+	z := (bits >> 5) & 0x3
+	return math.Exp2(float64(y)) * (1 + float64(z)/4) * u.TimeUnit
+}
+
+// TestEncodeWindowMatchesReference pins the table-driven window encoder
+// bit-for-bit to the brute-force loop over a dense sweep: several time
+// units, non-positive and sub-unit windows, every step and its float64
+// neighbours, the exact midpoints between steps (the tie-break), windows
+// past the largest step 2^31·1.75, and random bit patterns.
+func TestEncodeWindowMatchesReference(t *testing.T) {
+	timeUnits := []float64{
+		DefaultUnits().TimeUnit, 1, 1.0 / 32768, 1e-3, 0.7, 3, 0, -1,
+	}
+	var windows []float64
+	add := func(ws ...float64) { windows = append(windows, ws...) }
+	add(0, -1, -1e-9, math.Inf(-1), math.Inf(1), math.NaN(),
+		math.SmallestNonzeroFloat64, math.MaxFloat64)
+	for w := 1e-7; w < 1e7; w *= 1.003 {
+		add(w)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		add(math.Float64frombits(rng.Uint64()), rng.Float64()*1e4)
+	}
+
+	for _, tu := range timeUnits {
+		u := Units{TimeUnit: tu}
+		ws := windows
+		for i, step := range windowSteps {
+			// Steps, their neighbours and the midpoint to the next step,
+			// expressed in seconds of this time unit.
+			ws = append(ws, step*tu, math.Nextafter(step, 0)*tu, math.Nextafter(step, math.Inf(1))*tu)
+			if i+1 < len(windowSteps) {
+				ws = append(ws, (step+windowSteps[i+1])/2*tu)
+			}
+		}
+		last := windowSteps[len(windowSteps)-1]
+		ws = append(ws, last*1.0001*tu, last*2*tu, last*1e10*tu, last*1e300*tu)
+		// Targets just below one time unit clamp to the first step.
+		ws = append(ws, tu/2, tu*0.999999, tu*1e-300)
+		for _, w := range ws {
+			if got, want := encodeWindow(u, w), encodeWindowReference(u, w); got != want {
+				t.Fatalf("TimeUnit %g, window %g (%#x): encodeWindow = %#x, reference %#x",
+					tu, w, math.Float64bits(w), got, want)
+			}
+		}
+	}
+
+	// Decoding reads the same table: every 7-bit pattern decodes to the
+	// identical float64 under every time unit.
+	for _, tu := range timeUnits {
+		u := Units{TimeUnit: tu}
+		for bits := 0; bits < 128; bits++ {
+			got, want := decodeWindow(u, uint8(bits)), decodeWindowReference(u, uint8(bits))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("TimeUnit %g, bits %#x: decodeWindow = %g, reference %g", tu, bits, got, want)
+			}
+		}
+	}
+}
+
+// encodeSink keeps the benchmarked encode from being optimised away.
+var encodeSink uint64
+
+// BenchmarkEncodePkgPowerLimit times one full register encode — the
+// cost a governor pays per cap write — with the paper's PL1/PL2 windows.
+func BenchmarkEncodePkgPowerLimit(b *testing.B) {
+	u := DefaultUnits()
+	l := PkgPowerLimit{
+		PL1: PowerLimit{Limit: 125, Window: 1, Enabled: true, Clamp: true},
+		PL2: PowerLimit{Limit: 150, Window: 0.01, Enabled: true, Clamp: true},
+	}
+	for i := 0; i < b.N; i++ {
+		l.PL1.Limit = units.Power(100 + i%50)
+		encodeSink = EncodePkgPowerLimit(u, l)
 	}
 }

@@ -68,7 +68,6 @@ type Machine struct {
 	space   *msr.Space
 	sockets []*Socket
 	now     time.Duration
-	rng     *rand.Rand
 	// stall is pending monitoring-overhead time (seconds) during which
 	// the workload makes no progress.
 	stall float64
@@ -115,7 +114,6 @@ func New(cfg Config) (*Machine, error) {
 	m := &Machine{
 		cfg:     cfg,
 		space:   msr.NewSpace(cfg.Topo.TotalCores()),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		dt:      dt,
 		tickDur: time.Duration(dt * float64(time.Second)),
 		fast:    make([]fastSock, cfg.Topo.Sockets),
@@ -161,7 +159,6 @@ func (m *Machine) Reset(cfg Config) bool {
 	}
 	m.cfg = cfg
 	m.space.Reset()
-	m.rng.Seed(cfg.Seed)
 	m.now, m.stall = 0, 0
 	m.clampTicks = 0
 	m.fastTicksRun, m.fastWindowsRun, m.skippedRoundsRun = 0, 0, 0

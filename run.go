@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"dufp/internal/control"
+	"dufp/internal/exec"
 	"dufp/internal/fault"
 	"dufp/internal/obs/span"
 	"dufp/internal/obs/timeline"
@@ -204,7 +205,7 @@ func (s Session) Run(ctx context.Context, spec RunSpec, opts ...RunOption) (RunR
 	ownTrace := false
 	if o.spans {
 		if tr = span.FromContext(ctx); tr == nil {
-			tr = span.New(s.RunID(spec))
+			tr = span.New(exec.RunID(key.ID()))
 			ctx = span.NewContext(ctx, tr)
 			ownTrace = true
 		}

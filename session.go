@@ -3,7 +3,6 @@ package dufp
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"dufp/internal/control"
@@ -85,8 +84,9 @@ type GovernorFunc func(act control.Actuators) (control.Instance, error)
 // attach builds per-socket actuators and controller instances on a
 // machine. dev is the MSR device the actuators address — the machine's
 // own register file, or the fault layer's wrapper around it — and inj,
-// when non-nil, additionally wraps each socket's counter source.
-func (s Session) attach(m *sim.Machine, mk GovernorFunc, runSeed int64, dev msr.Device, inj *fault.Injector) ([]sim.Governor, []control.Instance, error) {
+// when non-nil, additionally wraps each socket's counter source. rngs
+// supplies the per-socket monitor noise streams.
+func (s Session) attach(m *sim.Machine, mk GovernorFunc, runSeed int64, dev msr.Device, inj *fault.Injector, rngs *rngPool) ([]sim.Governor, []control.Instance, error) {
 	spec := m.Config().Topo.Spec
 	govs := make([]sim.Governor, m.Sockets())
 	insts := make([]control.Instance, m.Sockets())
@@ -100,7 +100,7 @@ func (s Session) attach(m *sim.Machine, mk GovernorFunc, runSeed int64, dev msr.
 		if err != nil {
 			return nil, nil, err
 		}
-		rng := rand.New(rand.NewSource(runSeed*7919 + int64(i)*104729 + 13))
+		rng := rngs.seeded(rngMonitor+i, runSeed*7919+int64(i)*104729+13)
 		var src papi.Source = sock
 		if inj != nil {
 			src = inj.Source(sock)
@@ -173,7 +173,8 @@ func (s Session) execute(ctx context.Context, app App, mk GovernorFunc, idx int,
 	if err != nil {
 		return Run{}, runArtifacts{}, err
 	}
-	phases := app.Unroll(rand.New(rand.NewSource(seed*31+7)), s.Jitter)
+	rngs := rngsFor(ctx)
+	phases := app.Unroll(rngs.seeded(rngUnroll, seed*31+7), s.Jitter)
 	if err := m.Load(phases); err != nil {
 		return Run{}, runArtifacts{}, err
 	}
@@ -192,7 +193,7 @@ func (s Session) execute(ctx context.Context, app App, mk GovernorFunc, idx int,
 		dev = inj.Device(m.MSR())
 	}
 
-	govs, insts, err := s.attach(m, mk, seed, dev, inj)
+	govs, insts, err := s.attach(m, mk, seed, dev, inj, rngs)
 	if err != nil {
 		return Run{}, runArtifacts{}, err
 	}
@@ -331,9 +332,11 @@ func (s Session) SummarizeAll(ctx context.Context, reqs []SummaryRequest, n int)
 		return out
 	}
 	keys := make([]RunKey, 0, len(reqs)*n)
+	sessionFP := s.fingerprint()
 	for _, req := range reqs {
+		appFP := appFingerprint(req.App)
 		for i := 0; i < n; i++ {
-			keys = append(keys, s.execKey(req.App, req.Governor, i, false, false))
+			keys = append(keys, s.keyOf(sessionFP, appFP, req.App, req.Governor, i, false, false))
 		}
 	}
 	runs := make([]Run, len(keys))

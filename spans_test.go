@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"dufp"
 )
@@ -35,6 +36,9 @@ func TestRunWithSpansFacade(t *testing.T) {
 	}
 	if res.Spans.RunID != session.RunID(dufp.RunSpec{App: app, Governor: gov}) {
 		t.Errorf("span summary keyed %q, want the run's wire ID", res.Spans.RunID)
+	}
+	if id := res.SpanTrace.RunID(); id != res.Spans.RunID {
+		t.Errorf("span trace keyed %q, want the run's wire ID %q", id, res.Spans.RunID)
 	}
 
 	var stageSum int64
@@ -141,5 +145,38 @@ func TestRunResultSpansWire(t *testing.T) {
 	}
 	if strings.Contains(string(pb), `"spans"`) {
 		t.Error("unrequested spans field leaked onto the wire")
+	}
+}
+
+// TestSpanTraceIDIsRunID pins the facade-owned span trace's name to
+// Session.RunID for non-zero run indices and per-run fault plans, which
+// change the session part of the run's identity.
+func TestSpanTraceIDIsRunID(t *testing.T) {
+	app, err := dufp.SteadyApp(dufp.SteadyConfig{OIClass: "memory", Duration: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gov := dufp.DUF(dufp.DefaultControlConfig(0.10))
+	plan := dufp.FaultPlan{DropSampleP: 0.05, Seed: 3}
+	session := dufp.NewSession(dufp.WithExecutor(dufp.NewExecutor()))
+	faulted := session
+	faulted.Faults = plan
+	for _, tc := range []struct {
+		name   string
+		idx    int
+		opts   []dufp.RunOption
+		idFrom dufp.Session
+	}{
+		{"idx 3", 3, nil, session},
+		{"per-run faults", 1, []dufp.RunOption{dufp.WithFaults(plan)}, faulted},
+	} {
+		spec := dufp.RunSpec{App: app, Governor: gov, Idx: tc.idx}
+		res, err := session.Run(context.Background(), spec, append(tc.opts, dufp.WithSpans())...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.SpanTrace.RunID(), tc.idFrom.RunID(spec); got != want {
+			t.Errorf("%s: span trace keyed %q, want Session.RunID %q", tc.name, got, want)
+		}
 	}
 }
