@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 tier1-faults tier1-api tier1-obs build test short race vet cover bench bench-api bench-mem bench-smoke bench-scaling bench-cache
+.PHONY: all tier1 tier1-faults tier1-api tier1-obs build test short race vet fmt-check cover bench bench-api bench-mem bench-smoke bench-scaling bench-cache
 
 all: tier1 race vet
 
@@ -45,6 +45,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file in the tree is not gofmt-formatted,
+# listing the offenders.
+fmt-check:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed on:"; echo "$$out"; exit 1; }
 
 # cover enforces a floor on the telemetry layer's test coverage: the
 # registry and timeline are pure data plumbing, so near-total coverage is

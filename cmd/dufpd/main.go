@@ -45,13 +45,13 @@ func main() { os.Exit(daemonMain()) }
 
 func daemonMain() int {
 	var (
-		listen   = flag.String("listen", ":8080", "address to serve the Run API and observability endpoints on")
-		dataDir  = flag.String("data-dir", envOr("DUFP_DATA_DIR", "dufpd-data"), "directory for the campaign journal and (by default) the run cache")
-		cacheDir = flag.String("cache-dir", "", "run cache directory (default: <data-dir>/cache)")
-		workers  = flag.Int("parallel", 0, "max concurrent simulations (default: GOMAXPROCS)")
-		queue    = flag.Int("queue", 256, "bounded job queue depth; full queue rejects single-run submissions with 429")
-		seed     = flag.Int64("seed", 42, "base seed of the measurement campaigns")
-		drainFor = flag.Duration("drain-timeout", 30*time.Second, "how long to drain in-flight runs on shutdown before aborting them")
+		listen    = flag.String("listen", ":8080", "address to serve the Run API and observability endpoints on")
+		dataDir   = flag.String("data-dir", envOr("DUFP_DATA_DIR", "dufpd-data"), "directory for the campaign journal and (by default) the run cache")
+		cacheDir  = flag.String("cache-dir", "", "run cache directory (default: <data-dir>/cache)")
+		workers   = flag.Int("parallel", 0, "max concurrent simulations (default: GOMAXPROCS)")
+		queue     = flag.Int("queue", 256, "bounded job queue depth; full queue rejects single-run submissions with 429")
+		seed      = flag.Int64("seed", 42, "base seed of the measurement campaigns")
+		drainFor  = flag.Duration("drain-timeout", 30*time.Second, "how long to drain in-flight runs on shutdown before aborting them")
 		spanCap   = flag.Int("span-capacity", 0, "span flight-recorder ring size for /v1/runs/{id}/trace (0: default 256, negative: disable tracing)")
 		spanSlow  = flag.Duration("span-slow", 0, "slow-run budget: log the full span tree of any run over this wall clock (0: off)")
 		sampleCap = flag.Int("sample-capacity", 0, "trace sample store: runs retained for /v1/runs/{id}/samples (0: default 64, negative: disable)")
@@ -80,11 +80,11 @@ func daemonMain() int {
 	// and (via api.Config.Workers' 2× default) the dispatchers draining
 	// the queue, so widening one widens the whole path.
 	daemon, err := api.New(api.Config{
-		Session:           session,
-		Executor:          executor,
-		QueueDepth:        *queue,
-		DataDir:           *dataDir,
-		Logf:              logger.Printf,
+		Session:               session,
+		Executor:              executor,
+		QueueDepth:            *queue,
+		DataDir:               *dataDir,
+		Logf:                  logger.Printf,
 		SpanCapacity:          *spanCap,
 		SpanSlowThreshold:     *spanSlow,
 		SampleCapacity:        *sampleCap,

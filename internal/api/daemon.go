@@ -197,18 +197,18 @@ func New(cfg Config) (*Daemon, error) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	d := &Daemon{
-		cfg:     cfg,
-		session: cfg.Session.OnExecutor(exe),
-		exe:     exe,
-		reg:     reg,
-		logf:    logf,
+		cfg:      cfg,
+		session:  cfg.Session.OnExecutor(exe),
+		exe:      exe,
+		reg:      reg,
+		logf:     logf,
 		start:    time.Now(),
 		queue:    make(chan *job, depth),
 		nworkers: workers,
-		ctx:     ctx,
-		cancel:  cancel,
-		jobs:    make(map[string]*job),
-		camps:   make(map[string]*campaign),
+		ctx:      ctx,
+		cancel:   cancel,
+		jobs:     make(map[string]*job),
+		camps:    make(map[string]*campaign),
 
 		mQueueDepth: reg.Gauge("api_queue_depth",
 			"Jobs waiting in the daemon's bounded queue.").With(),

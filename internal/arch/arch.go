@@ -160,15 +160,19 @@ func (s Spec) UncoreSteps() int {
 // ClampCoreFreq snaps f onto the core P-state ladder: clamped to the legal
 // range and rounded down to a step multiple above the minimum.
 func (s Spec) ClampCoreFreq(f units.Frequency) units.Frequency {
-	return snap(f, s.MinCoreFreq, s.MaxCoreFreq, s.CoreFreqStep)
+	return Snap(f, s.MinCoreFreq, s.MaxCoreFreq, s.CoreFreqStep)
 }
 
 // ClampUncoreFreq snaps f onto the uncore ratio ladder.
 func (s Spec) ClampUncoreFreq(f units.Frequency) units.Frequency {
-	return snap(f, s.MinUncoreFreq, s.MaxUncoreFreq, s.UncoreFreqStep)
+	return Snap(f, s.MinUncoreFreq, s.MaxUncoreFreq, s.UncoreFreqStep)
 }
 
-func snap(f, lo, hi, step units.Frequency) units.Frequency {
+// Snap clamps f to [lo, hi] and rounds it to the nearest multiple of step
+// above lo: the ladder snap behind ClampCoreFreq and ClampUncoreFreq. Hot
+// loops that hold a *Spec call it on the fields directly, which avoids
+// copying the whole Spec into the value receiver.
+func Snap(f, lo, hi, step units.Frequency) units.Frequency {
 	f = f.Clamp(lo, hi)
 	n := int((f - lo + step/2) / step)
 	return lo + units.Frequency(n)*step

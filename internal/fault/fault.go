@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"dufp/internal/obs"
+	"dufp/internal/rng"
 )
 
 // Plan selects which faults to inject and how hard. The zero value
@@ -187,7 +188,7 @@ func NewInjector(plan Plan, seed int64, now func() time.Duration) *Injector {
 	// Decorrelate the fault stream from the workload and monitor
 	// streams, which derive from the same run seed.
 	mixed := seed*0x9E3779B9 + plan.Seed*0x85EBCA6B + 0x27D4EB2F
-	return &Injector{plan: plan, rng: rand.New(rand.NewSource(mixed)), now: now}
+	return &Injector{plan: plan, rng: rng.New(mixed), now: now}
 }
 
 // Plan returns the injector's fault plan.

@@ -133,7 +133,9 @@ func encodeWindow(u Units, w float64) uint8 {
 	}
 	best := 0
 	bestErr := math.Inf(1)
-	for i, got := range windowSteps {
+	// Range over the table's address: ranging over the array value
+	// would copy all 1 KiB of it on every cap write.
+	for i, got := range &windowSteps {
 		if err := math.Abs(got - target); err < bestErr {
 			bestErr, best = err, i
 		}

@@ -88,7 +88,7 @@ type fastSock struct {
 func (s *Socket) uncoreSteady(memUtil float64) bool {
 	lo := msr.RatioToFrequency(s.band.Min)
 	hi := msr.RatioToFrequency(s.band.Max)
-	return s.uncoreFreq == s.spec.ClampUncoreFreq(s.policy.Target(lo, hi, memUtil, !s.done))
+	return s.uncoreFreq == s.snapUncore(s.policy.Target(lo, hi, memUtil, !s.done))
 }
 
 // establish proves the steady state a macro-stepped window needs and
@@ -148,8 +148,8 @@ func (m *Machine) establish() bool {
 		f.coreHz = float64(s.coreFreq) * dt
 		f.uncHz = float64(s.uncoreFreq) * dt
 		f.mperfD = float64(s.spec.BaseCoreFreq) * dt
-		f.avgPower = pend.DividedBy(m.tickDur)
-		f.dram = pendD.DividedBy(m.tickDur)
+		f.avgPower = units.Power(float64(pend) / m.tickSecs)
+		f.dram = units.Power(float64(pendD) / m.tickSecs)
 		f.load = load
 		f.bw = units.Bandwidth(bwRate)
 		f.fr = units.FlopRate(flopRate)

@@ -7,7 +7,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"dufp/internal/arch"
@@ -15,6 +14,7 @@ import (
 	"dufp/internal/msr"
 	"dufp/internal/papi"
 	"dufp/internal/rapl"
+	"dufp/internal/rng"
 	"dufp/internal/units"
 )
 
@@ -79,9 +79,13 @@ type Machine struct {
 	// dt and tickDur are the physics step hoisted out of the tick loop:
 	// cfg.Tick in seconds and the same value converted back through the
 	// exact float64 expression the per-tick code historically used, so
-	// both loops observe one bit pattern.
-	dt      float64
-	tickDur time.Duration
+	// both loops observe one bit pattern. tickSecs is tickDur.Seconds(),
+	// the divisor that turns a tick's energy into its average power (and
+	// back); computing it once keeps Duration.Seconds' integer div/mod
+	// out of every socket-tick while dividing by the same float64.
+	dt       float64
+	tickDur  time.Duration
+	tickSecs float64
 
 	// fast holds the per-socket constants of the event-horizon macro
 	// step, sized once so the hot loop never allocates; fastTicksRun and
@@ -111,12 +115,14 @@ func New(cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("sim: max duration must be positive, got %v", cfg.MaxDuration)
 	}
 	dt := cfg.Tick.Seconds()
+	tickDur := time.Duration(dt * float64(time.Second))
 	m := &Machine{
-		cfg:     cfg,
-		space:   msr.NewSpace(cfg.Topo.TotalCores()),
-		dt:      dt,
-		tickDur: time.Duration(dt * float64(time.Second)),
-		fast:    make([]fastSock, cfg.Topo.Sockets),
+		cfg:      cfg,
+		space:    msr.NewSpace(cfg.Topo.TotalCores()),
+		dt:       dt,
+		tickDur:  tickDur,
+		tickSecs: tickDur.Seconds(),
+		fast:     make([]fastSock, cfg.Topo.Sockets),
 	}
 	spec := cfg.Topo.Spec
 	for i := 0; i < cfg.Topo.Sockets; i++ {
@@ -133,7 +139,7 @@ func New(cfg Config) (*Machine, error) {
 				Min: msr.FrequencyToRatio(spec.MinUncoreFreq),
 				Max: msr.FrequencyToRatio(spec.MaxUncoreFreq),
 			},
-			jitter: rand.New(rand.NewSource(cfg.Seed*1009 + int64(i))),
+			jitter: rng.New(cfg.Seed*1009 + int64(i)),
 		}
 		m.sockets = append(m.sockets, s)
 	}

@@ -251,19 +251,21 @@ func (s *Socket) settle(dt, idle float64) {
 		s.pendingEnergy += model.EnergyOver(cfg.IdlePower, idle)
 		s.pendingDram += model.EnergyOver(cfg.Power.DramStatic, idle)
 	}
-	tick := s.m.tickDur
-	avgPower := s.pendingEnergy.DividedBy(tick)
+	// The tick's average power is its energy over tickSecs, the value
+	// Energy.DividedBy(tickDur) would compute (tickDur is always positive).
+	tick := s.m.tickSecs
+	avgPower := units.Power(float64(s.pendingEnergy) / tick)
 	if cfg.PowerJitterSD > 0 {
 		j := units.Power(s.jitter.NormFloat64() * cfg.PowerJitterSD)
 		if avgPower+j > 0 {
 			avgPower += j
-			s.pendingEnergy = avgPower.Over(tick)
+			s.pendingEnergy = model.EnergyOver(avgPower, tick)
 		}
 	}
 	s.pkgEnergy += s.pendingEnergy
 	s.dramEnergy += s.pendingDram
 	s.lastPower = avgPower
-	s.lastDram = s.pendingDram.DividedBy(tick)
+	s.lastDram = units.Power(float64(s.pendingDram) / tick)
 	s.pendingEnergy, s.pendingDram = 0, 0
 
 	busy := dt - idle
@@ -283,8 +285,14 @@ func (s *Socket) settle(dt, idle float64) {
 	}
 }
 
+// snapUncore is s.spec.ClampUncoreFreq(f) without copying the Spec into
+// the value receiver, which the per-tick uncore step cannot afford.
+func (s *Socket) snapUncore(f units.Frequency) units.Frequency {
+	return arch.Snap(f, s.spec.MinUncoreFreq, s.spec.MaxUncoreFreq, s.spec.UncoreFreqStep)
+}
+
 func (s *Socket) stepUncoreToward(target units.Frequency) {
-	target = s.spec.ClampUncoreFreq(target)
+	target = s.snapUncore(target)
 	step := s.spec.UncoreFreqStep
 	switch {
 	case s.uncoreFreq < target:

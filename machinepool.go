@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"dufp/internal/exec"
+	"dufp/internal/rng"
 	"dufp/internal/sim"
 )
 
@@ -51,10 +52,12 @@ const (
 // rngPool holds a worker slot's per-run random sources, indexed by role,
 // beside the slot's pooled machine. A source is re-seeded in place with
 // (*rand.Rand).Seed, which resets both the generator state and the
-// Rand's read position exactly as rand.New(rand.NewSource(seed)) builds
-// them, so a pooled source draws the same stream as a fresh one while
-// saving its ≈5 KiB allocation per run. Like the machine, the sources
-// are used only by the run that re-seeded them.
+// Rand's read position exactly as rng.New(seed) builds them, so a
+// pooled source draws the same stream as a fresh one while saving its
+// ≈5 KiB allocation per run. Every source is an rng.Source, which draws
+// math/rand's stream but seeds without math/rand's serial division
+// chain. Like the machine, the sources are used only by the run that
+// re-seeded them.
 type rngPool struct {
 	srcs []*rand.Rand
 }
@@ -78,7 +81,7 @@ func rngsFor(ctx context.Context) *rngPool {
 // seeded returns the source of the given role, seeded with seed.
 func (p *rngPool) seeded(role int, seed int64) *rand.Rand {
 	if p == nil {
-		return rand.New(rand.NewSource(seed))
+		return rng.New(seed)
 	}
 	for len(p.srcs) <= role {
 		p.srcs = append(p.srcs, nil)
@@ -87,7 +90,7 @@ func (p *rngPool) seeded(role int, seed int64) *rand.Rand {
 		r.Seed(seed)
 		return r
 	}
-	r := rand.New(rand.NewSource(seed))
+	r := rng.New(seed)
 	p.srcs[role] = r
 	return r
 }
